@@ -153,7 +153,9 @@ impl Query {
         match self {
             Query::Forecast { horizon } => format!("forecast {horizon}"),
             Query::Quantile { metric, q } => {
-                format!("quantile {} {:016x}", metric.name(), q.to_bits())
+                let mut line = format!("quantile {} ", metric.name());
+                sofia_core::snapshot::wire::push_f64(&mut line, *q);
+                line
             }
             other => other.kind().name().to_string(),
         }
@@ -195,11 +197,11 @@ impl Query {
                 // `to_wire` emits q as a 16-hex-digit bit pattern
                 // (bit-exact); hand-written clients may send a plain
                 // decimal like `0.99` instead.
-                let q = if tok.len() == 16 && tok.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    f64::from_bits(u64::from_str_radix(tok, 16).expect("16 hex digits parse"))
-                } else {
-                    tok.parse()
-                        .map_err(|_| invalid(format!("bad quantile `{tok}`")))?
+                let q = match sofia_core::snapshot::wire::parse_hex16(tok) {
+                    Some(q) => q,
+                    None => tok
+                        .parse()
+                        .map_err(|_| invalid(format!("bad quantile `{tok}`")))?,
                 };
                 Query::Quantile { metric, q }
             }
@@ -569,25 +571,15 @@ pub mod wire {
     }
 
     fn push_bits(out: &mut String, mask: &Mask) {
-        out.push_str("bits ");
-        for i in 0..mask.shape().len() {
-            out.push(if mask.is_observed_flat(i) { '1' } else { '0' });
-        }
-        out.push('\n');
+        hexwire::push_bits(out, "bits ", mask.observed_flags());
     }
 
     fn parse_bits(line: &str, shape: &Shape) -> Result<Mask, WireError> {
         let bits = line
             .strip_prefix("bits ")
             .ok_or_else(|| WireError::new(format!("expected `bits`, got `{line}`")))?;
-        let observed: Vec<bool> = bits
-            .chars()
-            .map(|c| match c {
-                '1' => Ok(true),
-                '0' => Ok(false),
-                other => Err(WireError::new(format!("bad mask bit `{other}`"))),
-            })
-            .collect::<Result<_, _>>()?;
+        let observed = hexwire::parse_bits(bits)
+            .map_err(|other| WireError::new(format!("bad mask bit `{other}`")))?;
         if observed.len() != shape.len() {
             return Err(WireError::new(format!(
                 "mask carries {} bits for a {}-element shape",
@@ -753,9 +745,7 @@ pub mod wire {
         #[allow(deprecated)]
         let ewma = stats.step_latency_ewma_us;
         match ewma {
-            Some(l) => {
-                let _ = writeln!(out, "latency {:016x}", l.to_bits());
-            }
+            Some(l) => hexwire::push_f64s(out, "latency", [l]),
             None => out.push_str("latency none\n"),
         }
         let _ = writeln!(out, "since-checkpoint {}", stats.steps_since_checkpoint);
@@ -776,10 +766,10 @@ pub mod wire {
         let queue_depth = parse_int(field(cur, "queue-depth")?, "queue depth")?;
         let step_latency_ewma_us = match field(cur, "latency")? {
             "none" => None,
-            hex => Some(f64::from_bits(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|_| WireError::new(format!("bad latency `{hex}`")))?,
-            )),
+            hex => Some(
+                hexwire::parse_f64(hex)
+                    .ok_or_else(|| WireError::new(format!("bad latency `{hex}`")))?,
+            ),
         };
         let steps_since_checkpoint =
             parse_int(field(cur, "since-checkpoint")?, "checkpoint counter")?;
@@ -832,9 +822,8 @@ pub mod wire {
             QueryResponse::Quantile(v) => match v {
                 None => out.push_str("quantile none\n"),
                 Some(q) => {
-                    use std::fmt::Write as _;
                     out.push_str("quantile some\n");
-                    let _ = writeln!(out, "value {:016x}", q.to_bits());
+                    hexwire::push_f64s(out, "value", [*q]);
                 }
             },
         }
@@ -875,9 +864,10 @@ pub mod wire {
             })),
             "quantile" => Ok(QueryResponse::Quantile(if some {
                 let hex = field(cur, "value")?;
-                Some(f64::from_bits(u64::from_str_radix(hex, 16).map_err(
-                    |_| WireError::new(format!("bad quantile value `{hex}`")),
-                )?))
+                Some(
+                    hexwire::parse_f64(hex)
+                        .ok_or_else(|| WireError::new(format!("bad quantile value `{hex}`")))?,
+                )
             } else {
                 None
             })),

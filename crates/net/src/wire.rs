@@ -55,6 +55,7 @@
 //! ([`FrameError`], [`WireError`]) — never a panic — because these
 //! functions feed on bytes from the network.
 
+use sofia_core::snapshot::wire as hexwire;
 use sofia_fleet::protocol::wire::{self, LineCursor, WireError};
 use sofia_fleet::{shard_of, FleetError, FleetStats, MetricKind, Query, QueryCounters, ShardStats};
 use sofia_tensor::ObservedTensor;
@@ -715,6 +716,7 @@ pub fn ingest_body(
         encode_stream_id(stream),
         slices.len()
     );
+    out.reserve(slices.iter().map(|(_, s)| ingest_slice_wire_bound(s)).sum());
     for (seq, slice) in slices {
         let _ = writeln!(out, "seq {seq}");
         wire::push_observed(&mut out, slice);
@@ -1115,9 +1117,7 @@ pub fn push_fleet_stats(out: &mut String, stats: &FleetStats) {
         #[allow(deprecated)]
         let ewma = s.step_latency_ewma_us;
         match ewma {
-            Some(l) => {
-                let _ = writeln!(out, "latency {:016x}", l.to_bits());
-            }
+            Some(l) => hexwire::push_f64s(out, "latency", [l]),
             None => out.push_str("latency none\n"),
         }
         out.push_str("sketches 2\n");
@@ -1175,10 +1175,10 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
             .ok_or_else(|| WireError::new(format!("bad latency line `{lline}`")))?
         {
             "none" => None,
-            hex => Some(f64::from_bits(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|_| WireError::new(format!("bad latency `{hex}`")))?,
-            )),
+            hex => Some(
+                hexwire::parse_f64(hex)
+                    .ok_or_else(|| WireError::new(format!("bad latency `{hex}`")))?,
+            ),
         };
         // Absent on replies from a pre-sketch peer: empty summaries.
         let (ingest_latency, forecast_error) = wire::parse_sketch_block(cur)?;

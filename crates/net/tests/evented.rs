@@ -1,74 +1,25 @@
-//! Event-loop behaviours the blocking server could not even express:
+//! Event-loop behaviours the blocking server could not even express
+//! (the 256-connection thread-count soak lives in `soak.rs`, a binary of
+//! its own):
 //!
 //! * frames dribbled one byte at a time across many sockets decode
 //!   incrementally and do not starve well-behaved clients (slowloris
 //!   resistance — only pinnable now that decoding is incremental);
-//! * 256 concurrent connections leave the server's thread count at
-//!   pool size (the O(pool), not O(connections), guarantee);
 //! * a client whose server went silent or died mid-pipelined-batch
 //!   errors **promptly and typed** ([`FrameError::TimedOut`] /
 //!   truncation) instead of hanging on the read side.
 
+mod common;
+
+use common::{expect_forecast_value, serving_fleet};
 use sofia_core::traits::{StepOutput, StreamingFactorizer};
-use sofia_fleet::{Fleet, FleetConfig, MetricKind, ModelHandle, Query, QueryResponse};
+use sofia_fleet::{Fleet, FleetConfig, MetricKind, ModelHandle, Query};
 use sofia_net::wire::{ok_body, read_frame, write_frame, Request, ShardMap};
 use sofia_net::{Client, ClientError, FrameError, Server, ServerConfig};
 use sofia_tensor::{DenseTensor, ObservedTensor, Shape};
 use std::io::{BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
-
-/// Cheapest possible served model: these tests measure the I/O layer,
-/// not model work.
-struct Echo;
-
-impl StreamingFactorizer for Echo {
-    fn name(&self) -> &'static str {
-        "echo"
-    }
-    fn step(&mut self, slice: &ObservedTensor) -> StepOutput {
-        StepOutput {
-            completed: slice.values().clone(),
-            outliers: None,
-        }
-    }
-    fn forecast(&self, h: usize) -> Option<DenseTensor> {
-        Some(DenseTensor::full(Shape::new(&[1]), h as f64))
-    }
-}
-
-fn serving_fleet(streams: usize) -> (Fleet, Vec<String>) {
-    let fleet = Fleet::new(FleetConfig {
-        shards: 2,
-        queue_capacity: 1024,
-        checkpoint: None,
-        evict_idle_after: None,
-    })
-    .expect("fleet");
-    let ids: Vec<String> = (0..streams).map(|i| format!("stream-{i:03}")).collect();
-    for id in &ids {
-        fleet
-            .register(id, ModelHandle::serve(Echo))
-            .expect("register");
-    }
-    (fleet, ids)
-}
-
-fn expect_forecast_value(resp: QueryResponse) -> f64 {
-    let QueryResponse::Forecast(Some(f)) = resp else {
-        panic!("echo forecasts");
-    };
-    f.get(&[0])
-}
-
-/// Threads of this process, per the kernel. `None` off Linux.
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
 
 /// A raw (non-`Client`) socket that has completed the handshake, so a
 /// test can control the byte stream exactly.
@@ -153,58 +104,6 @@ fn slowloris_dribble_does_not_starve_other_clients() {
             reply.lines().next().unwrap_or("")
         );
     }
-    server.shutdown().expect("shutdown");
-}
-
-#[test]
-fn soak_256_connections_keep_thread_count_at_pool_size() {
-    const CONNS: usize = 256;
-    let (fleet, ids) = serving_fleet(8);
-    let server = Server::bind_with(
-        "127.0.0.1:0",
-        fleet,
-        ServerConfig {
-            event_threads: Some(2),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    assert_eq!(server.event_threads(), 2);
-    assert_eq!(server.thread_count(), 3, "pool + acceptor, nothing else");
-
-    let baseline = os_thread_count();
-    let mut clients = Vec::with_capacity(CONNS);
-    for c in 0..CONNS {
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        // A little pipelined work per connection so every socket has
-        // actually been served, not merely accepted.
-        let id = &ids[c % ids.len()];
-        let mut pending = Vec::new();
-        for _ in 0..4 {
-            pending.push(
-                client
-                    .start_query(id, Query::Forecast { horizon: 1 })
-                    .expect("start"),
-            );
-        }
-        for qid in pending {
-            let resp = client.finish_query(qid).expect("finish").expect("forecast");
-            assert_eq!(expect_forecast_value(resp), 1.0);
-        }
-        clients.push(client);
-    }
-
-    // All 256 still connected: the kernel must agree no thread was
-    // spawned per connection.
-    if let (Some(before), Some(during)) = (baseline, os_thread_count()) {
-        assert_eq!(
-            during, before,
-            "{CONNS} live connections changed the process thread count \
-             ({before} -> {during}); the server must stay at pool size"
-        );
-    }
-
-    drop(clients);
     server.shutdown().expect("shutdown");
 }
 

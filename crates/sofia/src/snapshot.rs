@@ -35,32 +35,19 @@ use crate::model::Sofia;
 /// (the v1 SOFIA checkpoint and every per-model v2 payload use these).
 ///
 /// Floats travel as 16-hex-digit IEEE 754 bit patterns so round-trips are
-/// bit-exact; integers as plain decimal.
+/// bit-exact; integers as plain decimal. The float and mask-bit codec is
+/// [`sofia_timeseries::codec`], re-exported here; [`wire::parse_f64s`]
+/// reports its errors as a [`CheckpointError`].
 pub mod wire {
     use super::CheckpointError;
-    use std::fmt::Write as _;
-
-    /// Appends `label v1 v2 …` with each float as its hex bit pattern.
-    pub fn push_f64s(out: &mut String, label: &str, values: impl IntoIterator<Item = f64>) {
-        let _ = write!(out, "{label}");
-        for v in values {
-            let _ = write!(out, " {:016x}", v.to_bits());
-        }
-        out.push('\n');
-    }
+    use sofia_timeseries::codec;
+    pub use sofia_timeseries::codec::{
+        parse_bits, parse_f64, parse_hex16, push_bits, push_f64, push_f64s,
+    };
 
     /// Parses a `label v1 v2 …` line of hex-encoded floats.
     pub fn parse_f64s(line: &str, label: &str) -> Result<Vec<f64>, CheckpointError> {
-        let rest = line
-            .strip_prefix(label)
-            .ok_or_else(|| CheckpointError::Malformed(format!("expected `{label}`")))?;
-        rest.split_whitespace()
-            .map(|tok| {
-                u64::from_str_radix(tok, 16)
-                    .map(f64::from_bits)
-                    .map_err(|_| CheckpointError::Malformed(format!("bad float in `{label}`")))
-            })
-            .collect()
+        codec::parse_f64s(line, label).map_err(|e| CheckpointError::Malformed(e.0))
     }
 
     /// Parses a `label n1 n2 …` line of decimal integers.

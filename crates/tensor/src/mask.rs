@@ -86,6 +86,12 @@ impl Mask {
         self.observed[offset]
     }
 
+    /// The observed flag of every entry, in row-major order.
+    #[inline]
+    pub fn observed_flags(&self) -> &[bool] {
+        &self.observed
+    }
+
     /// Flat offsets of all observed entries, ascending.
     #[inline]
     pub fn observed_offsets(&self) -> &[usize] {

@@ -15,6 +15,8 @@
 //!   L-BFGS-B; see DESIGN.md for the substitution argument);
 //! * [`ets`] — simple and double exponential smoothing, used by baseline
 //!   methods;
+//! * [`codec`] — the byte-level hex-float and mask-bit text codec every
+//!   bit-exact payload of the workspace (checkpoints, wire frames) uses;
 //! * [`snapshot`] — bit-exact text snapshots of the Holt-Winters family
 //!   (additive, multiplicative, damped), the serialization substrate the
 //!   serving layer's checkpoint envelope wraps.
@@ -34,6 +36,7 @@
 //! assert!((f - (0.5 * 32.0)).abs() < 1.0);
 //! ```
 
+pub mod codec;
 pub mod ets;
 pub mod fit;
 pub mod holt_winters;

@@ -10,10 +10,11 @@
 //! byte-identically.
 //!
 //! `sofia-timeseries` sits *below* `sofia-core` in the dependency order,
-//! so the formats here are deliberately dependency-free; `sofia-core`'s
-//! v2 checkpoint envelope wraps payloads like these without either crate
-//! knowing about the other's framing.
+//! so the float codec lives here ([`crate::codec`]) and `sofia-core`
+//! re-exports it; `sofia-core`'s v2 checkpoint envelope wraps payloads
+//! like these without either crate knowing about the other's framing.
 
+use crate::codec::{parse_f64s, push_f64s, CodecError};
 use crate::holt_winters::{HoltWinters, HwParams, HwState};
 use crate::variants::{DampedHw, MultiplicativeHw};
 use std::fmt::Write as _;
@@ -30,29 +31,14 @@ impl std::fmt::Display for SnapshotParseError {
 
 impl std::error::Error for SnapshotParseError {}
 
+impl From<CodecError> for SnapshotParseError {
+    fn from(e: CodecError) -> Self {
+        SnapshotParseError(e.0)
+    }
+}
+
 fn err(what: impl Into<String>) -> SnapshotParseError {
     SnapshotParseError(what.into())
-}
-
-fn push_f64s(out: &mut String, label: &str, values: impl IntoIterator<Item = f64>) {
-    let _ = write!(out, "{label}");
-    for v in values {
-        let _ = write!(out, " {:016x}", v.to_bits());
-    }
-    out.push('\n');
-}
-
-fn parse_f64s(line: &str, label: &str) -> Result<Vec<f64>, SnapshotParseError> {
-    let rest = line
-        .strip_prefix(label)
-        .ok_or_else(|| err(format!("expected `{label}`")))?;
-    rest.split_whitespace()
-        .map(|tok| {
-            u64::from_str_radix(tok, 16)
-                .map(f64::from_bits)
-                .map_err(|_| err(format!("bad float in `{label}`")))
-        })
-        .collect()
 }
 
 fn parse_usize(line: &str, label: &str) -> Result<usize, SnapshotParseError> {
