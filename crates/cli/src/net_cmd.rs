@@ -214,13 +214,16 @@ pub fn client(opts: &ClientOpts) -> CmdResult {
         let stats = client.stats()?;
         println!(
             "stats: {} resident streams over {} shards, {} steps applied, \
-             {} queries answered ({} batched round-trips), {} dropped",
+             {} queries answered ({} batched round-trips), {} dropped, \
+             {} checkpoint failures, {} quarantines",
             stats.streams(),
             stats.shards.len(),
             stats.steps(),
             stats.queries().total(),
             stats.query_batches(),
-            stats.dropped()
+            stats.dropped(),
+            stats.checkpoint_failures(),
+            stats.quarantines()
         );
         let latency = stats.ingest_latency();
         let drift = stats.forecast_error();

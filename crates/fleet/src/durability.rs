@@ -32,8 +32,9 @@ pub struct CheckpointPolicy {
     /// start if absent).
     pub dir: PathBuf,
     /// Checkpoint a stream after this many steps since its last durable
-    /// checkpoint. `1` checkpoints every step; large values trade
-    /// durability lag for throughput.
+    /// checkpoint. `1` checkpoints every step (`0` behaves as `1`);
+    /// large values trade durability lag for throughput. A failed write
+    /// is retried one interval later.
     pub every_steps: u64,
 }
 

@@ -7,10 +7,8 @@ use crate::model::ModelHandle;
 use crate::protocol::{Query, QueryResponse, QueryTicket};
 use crate::registry::{Registry, StreamKey};
 use crate::shard::{Command, QueryRequest, ShardHandle};
-use crate::stats::{FleetStats, StreamStats};
-use sofia_core::traits::StepOutput;
-use sofia_core::Sofia;
-use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
+use crate::stats::FleetStats;
+use sofia_tensor::ObservedTensor;
 use std::sync::mpsc;
 
 /// Engine construction parameters.
@@ -123,9 +121,9 @@ impl Fleet {
     /// kind (bare pre-envelope v1 SOFIA files load too). Returns the
     /// engine and the number of streams recovered.
     ///
-    /// Restored models are bit-exact: their subsequent [`StepOutput`]s
+    /// Restored models are bit-exact: their subsequent step outputs
     /// match an uninterrupted run. The latest completed slice is *not*
-    /// part of a checkpoint, so [`Fleet::latest`] returns `None` for a
+    /// part of a checkpoint, so a [`Query::Latest`] answers `None` for a
     /// recovered stream until its next step.
     pub fn recover(config: FleetConfig) -> Result<(Fleet, usize), FleetError> {
         let policy = config.checkpoint.clone().ok_or_else(|| {
@@ -158,18 +156,6 @@ impl Fleet {
         })?;
         ready.recv().map_err(|_| FleetError::ShuttingDown)?;
         Ok(key)
-    }
-
-    /// Convenience: registers a SOFIA model.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `register(id, ModelHandle::sofia(model))` — the uniform \
-                handle constructors cover every model kind, and their \
-                checkpoint envelopes are also what `sofia-net` clients \
-                send to register a stream over TCP"
-    )]
-    pub fn register_sofia(&self, id: &str, model: Sofia) -> Result<StreamKey, FleetError> {
-        self.register(id, ModelHandle::sofia(model))
     }
 
     /// Routing key of a registered stream.
@@ -331,81 +317,6 @@ impl Fleet {
             .into_iter()
             .map(|t| t.expect("every request slot is filled"))
             .collect())
-    }
-
-    /// Latest completed slice (and outliers) of a stream, or `None`
-    /// before its first step (including right after recovery).
-    ///
-    /// Migrate to `query(id, Query::Latest)`: the typed request is what
-    /// pipelines ([`QueryTicket`]), batches ([`Fleet::query_batch`]),
-    /// and travels the wire (`Query::to_wire` /
-    /// `QueryResponse::to_wire`, carried verbatim by the `sofia-net`
-    /// TCP data plane and routed across processes by its cluster
-    /// layer) — this wrapper reaches none of that.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::Latest)` — the typed form pipelines, \
-                batches, and is the wire-capable path `sofia-net` serves"
-    )]
-    pub fn latest(&self, id: &str) -> Result<Option<StepOutput>, FleetError> {
-        Ok(self.query(id, Query::Latest)?.wait()?.expect_latest())
-    }
-
-    /// `h`-step-ahead forecast of a stream, or `None` if its model does
-    /// not forecast.
-    ///
-    /// Migrate to `query(id, Query::Forecast { horizon })` — see
-    /// [`Fleet::latest`] for why the typed path is the one worth being
-    /// on (pipelining, batching, and the `sofia-net` wire form).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::Forecast { horizon })` — the typed form \
-                pipelines, batches, and is the wire-capable path `sofia-net` \
-                serves"
-    )]
-    pub fn forecast(&self, id: &str, h: usize) -> Result<Option<DenseTensor>, FleetError> {
-        Ok(self
-            .query(id, Query::Forecast { horizon: h })?
-            .wait()?
-            .expect_forecast())
-    }
-
-    /// Boolean mask of entries flagged as outliers in the latest step, or
-    /// `None` before the first step / for models without outlier
-    /// estimates.
-    ///
-    /// Migrate to `query(id, Query::OutlierMask)` — see
-    /// [`Fleet::latest`] for why the typed path is the one worth being
-    /// on (pipelining, batching, and the `sofia-net` wire form).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::OutlierMask)` — the typed form \
-                pipelines, batches, and is the wire-capable path `sofia-net` \
-                serves"
-    )]
-    pub fn outlier_mask(&self, id: &str) -> Result<Option<Mask>, FleetError> {
-        Ok(self
-            .query(id, Query::OutlierMask)?
-            .wait()?
-            .expect_outlier_mask())
-    }
-
-    /// Serving statistics of one stream.
-    ///
-    /// Migrate to `query(id, Query::StreamStats)` — see
-    /// [`Fleet::latest`] for why the typed path is the one worth being
-    /// on (pipelining, batching, and the `sofia-net` wire form).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(id, Query::StreamStats)` — the typed form \
-                pipelines, batches, and is the wire-capable path `sofia-net` \
-                serves"
-    )]
-    pub fn stream_stats(&self, id: &str) -> Result<StreamStats, FleetError> {
-        Ok(self
-            .query(id, Query::StreamStats)?
-            .wait()?
-            .expect_stream_stats())
     }
 
     /// Fleet-wide statistics snapshot (one barrier-free query per shard).
@@ -583,9 +494,9 @@ impl Drop for Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::MetricKind;
-    use sofia_core::traits::StreamingFactorizer;
-    use sofia_tensor::Shape;
+    use crate::stats::{MetricKind, StreamStats};
+    use sofia_core::traits::{StepOutput, StreamingFactorizer};
+    use sofia_tensor::{DenseTensor, Shape};
     use std::time::Duration;
 
     /// Test model: completion counts the steps taken, so outputs encode
@@ -685,9 +596,6 @@ mod tests {
         assert_eq!(fc.get(&[0]), 5.0);
         let stats = stream_stats(&fleet, "s1").unwrap();
         assert_eq!(stats.steps, 5);
-        #[allow(deprecated)]
-        let ewma = stats.step_latency_ewma_us;
-        assert!(ewma.is_some());
         assert_eq!(stats.ingest_latency.count(), 5);
         assert!(stats.ingest_latency.p99().is_some());
         // Counter forecasts shape [1] against [2, 2] slices: the drift
@@ -955,6 +863,7 @@ mod tests {
         fleet.flush().unwrap();
         let stats = fleet.fleet_stats().unwrap();
         assert_eq!(stats.dropped(), 2, "post-panic slices are counted");
+        assert_eq!(stats.quarantines(), 1, "the panic is counted once");
         // The id is freed, so a replacement model can take over.
         let bad2 = fleet
             .register("bad", ModelHandle::boxed(Box::new(Counter::new())))
@@ -962,6 +871,140 @@ mod tests {
         fleet.try_ingest(&bad2, slice(0.0)).unwrap();
         fleet.flush().unwrap();
         assert_eq!(stream_stats(&fleet, "bad").unwrap().steps, 1);
+    }
+
+    /// A tiny snapshot-capable model, so the checkpoint paths really
+    /// write (the `Counter` test model is transient).
+    fn durable_sgd(seed: u64) -> ModelHandle {
+        let f = |s: u64| {
+            sofia_tensor::Matrix::from_fn(2, 2, |i, j| 0.5 + (i + 2 * j) as f64 * 0.1 + s as f64)
+        };
+        ModelHandle::durable(sofia_baselines::OnlineSgd::new(
+            vec![f(seed), f(seed + 1)],
+            0.1,
+        ))
+    }
+
+    /// A fresh per-process checkpoint directory path (any stale copy
+    /// removed; the engine creates it on start).
+    fn scratch_checkpoint_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sofia-fleet-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn failed_periodic_checkpoints_are_counted_and_retried_per_interval() {
+        use crate::durability::{checkpoint_path, CheckpointPolicy};
+        const EVERY: u64 = 2;
+        let dir = scratch_checkpoint_dir("ckpt-fail");
+        let fleet = Fleet::new(FleetConfig {
+            shards: 1,
+            queue_capacity: 64,
+            checkpoint: Some(CheckpointPolicy::new(&dir, EVERY)),
+            evict_idle_after: None,
+        })
+        .unwrap();
+        let durable = fleet.register("durable", durable_sgd(1)).unwrap();
+        // Same shard (there is only one), no checkpoints of its own.
+        let sibling = fleet
+            .register("sibling", ModelHandle::boxed(Box::new(Counter::new())))
+            .unwrap();
+        // Deleting the directory makes every write fail whatever the
+        // process's privileges (a root process ignores permission bits).
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        for t in 0..3 * EVERY {
+            fleet.try_ingest(&durable, slice(t as f64)).unwrap();
+            fleet.try_ingest(&sibling, slice(t as f64)).unwrap();
+        }
+        fleet.flush().unwrap();
+        // One attempt per interval boundary, not one per ingest after
+        // the first failure (which would read 2·EVERY + 1).
+        assert_eq!(fleet.fleet_stats().unwrap().checkpoint_failures(), 3);
+        let stats = stream_stats(&fleet, "durable").unwrap();
+        assert_eq!(stats.steps, 3 * EVERY, "the failing stream keeps serving");
+        assert_eq!(
+            stats.steps_since_checkpoint,
+            3 * EVERY,
+            "nothing is durable yet"
+        );
+        assert_eq!(stream_stats(&fleet, "sibling").unwrap().steps, 3 * EVERY);
+        assert!(forecast(&fleet, "sibling", 1).unwrap().is_some());
+
+        // Once the directory is back, the next boundary write succeeds.
+        std::fs::create_dir_all(&dir).unwrap();
+        for t in 0..EVERY {
+            fleet.try_ingest(&durable, slice(t as f64)).unwrap();
+        }
+        fleet.flush().unwrap();
+        assert_eq!(
+            stream_stats(&fleet, "durable")
+                .unwrap()
+                .steps_since_checkpoint,
+            0
+        );
+        assert!(checkpoint_path(&dir, "durable").exists());
+        assert_eq!(fleet.fleet_stats().unwrap().checkpoint_failures(), 3);
+        fleet.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_checkpoints_every_step() {
+        use crate::durability::{checkpoint_path, CheckpointPolicy};
+        let dir = scratch_checkpoint_dir("ckpt-zero");
+        // The field is public, so 0 can bypass `CheckpointPolicy::new`.
+        let policy = CheckpointPolicy {
+            dir: dir.clone(),
+            every_steps: 0,
+        };
+        let fleet = Fleet::new(FleetConfig {
+            shards: 1,
+            queue_capacity: 64,
+            checkpoint: Some(policy),
+            evict_idle_after: None,
+        })
+        .unwrap();
+        let key = fleet.register("s", durable_sgd(1)).unwrap();
+        for t in 0..2 {
+            fleet.try_ingest(&key, slice(t as f64)).unwrap();
+        }
+        fleet.flush().unwrap();
+        let stats = stream_stats(&fleet, "s").unwrap();
+        assert_eq!((stats.steps, stats.steps_since_checkpoint), (2, 0));
+        assert!(checkpoint_path(&dir, "s").exists());
+        fleet.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_eviction_checkpoints_are_counted() {
+        use crate::durability::CheckpointPolicy;
+        let dir = scratch_checkpoint_dir("evict-fail");
+        let fleet = Fleet::new(FleetConfig {
+            shards: 1,
+            queue_capacity: 64,
+            checkpoint: Some(CheckpointPolicy::new(&dir, 1_000_000)),
+            evict_idle_after: Some(2),
+        })
+        .unwrap();
+        fleet.register("idle", durable_sgd(1)).unwrap();
+        let busy = fleet
+            .register("busy", ModelHandle::boxed(Box::new(Counter::new())))
+            .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // Two idle intervals: the eviction is attempted, fails, backs
+        // off one interval, and fails again.
+        for t in 0..4 {
+            fleet.try_ingest(&busy, slice(t as f64)).unwrap();
+            fleet.flush().unwrap();
+        }
+        let stats = fleet.fleet_stats().unwrap();
+        assert_eq!(stats.checkpoint_failures(), 2);
+        assert_eq!(stats.evictions(), 0);
+        assert_eq!(stats.streams(), 2, "the unsaved stream stays resident");
+        assert_eq!(stream_stats(&fleet, "idle").unwrap().steps, 0);
     }
 
     #[test]
@@ -1160,66 +1203,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Fleet>();
     };
-
-    #[test]
-    fn legacy_wrappers_delegate_to_the_query_plane() {
-        #![allow(deprecated)]
-        let fleet = small_fleet(2);
-        let key = fleet
-            .register("s", ModelHandle::boxed(Box::new(Counter::new())))
-            .unwrap();
-        fleet.try_ingest(&key, slice(1.0)).unwrap();
-        fleet.flush().unwrap();
-
-        // Each deprecated method answers exactly like its typed query.
-        assert_eq!(
-            fleet.latest("s").unwrap().unwrap().completed.data(),
-            latest(&fleet, "s").unwrap().unwrap().completed.data()
-        );
-        assert_eq!(
-            fleet.forecast("s", 2).unwrap().unwrap().data(),
-            forecast(&fleet, "s", 2).unwrap().unwrap().data()
-        );
-        assert!(fleet.outlier_mask("s").unwrap().is_none());
-        assert_eq!(
-            fleet.stream_stats("s").unwrap().steps,
-            stream_stats(&fleet, "s").unwrap().steps
-        );
-        // The wrappers inherit boundary validation too.
-        assert!(matches!(
-            fleet.forecast("s", 0),
-            Err(FleetError::InvalidQuery { .. })
-        ));
-        // And they are counted as plane traffic: 4 wrapper + 3 typed
-        // queries above (the InvalidQuery rejection never reaches a
-        // shard).
-        assert_eq!(fleet.fleet_stats().unwrap().queries().total(), 7);
-
-        // The deprecated `register_sofia` alias must keep compiling and
-        // delegating to the uniform handle constructor (this is its only
-        // remaining coverage; integration tests register through
-        // `ModelHandle::sofia` directly).
-        let stream = sofia_datagen::seasonal::SeasonalStream::paper_fig2(&[4, 3], 2, 4, 11);
-        let startup: Vec<ObservedTensor> = (0..12)
-            .map(|t| {
-                ObservedTensor::fully_observed(sofia_datagen::stream::TensorStream::clean_slice(
-                    &stream, t,
-                ))
-            })
-            .collect();
-        let config = sofia_core::SofiaConfig::new(2, 4)
-            .with_lambdas(0.01, 0.01, 10.0)
-            .with_als_limits(1e-3, 1, 20);
-        let model = sofia_core::Sofia::init(&config, &startup, 5).expect("init");
-        fleet
-            .register_sofia("legacy-sofia", model)
-            .expect("alias registers");
-        assert_eq!(
-            stream_stats(&fleet, "legacy-sofia").unwrap().model,
-            "SOFIA",
-            "alias delegated to ModelHandle::sofia"
-        );
-    }
 
     #[test]
     fn tickets_poll_and_pipeline() {

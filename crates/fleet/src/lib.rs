@@ -117,4 +117,4 @@ pub use registry::{shard_of, StreamKey};
 // Re-exported so implementing durability for a custom served model needs
 // only this crate's prelude.
 pub use sofia_core::snapshot::{RestoreModel, SnapshotModel};
-pub use stats::{Ewma, FleetStats, MetricKind, QueryCounters, ShardStats, StreamStats};
+pub use stats::{FleetStats, MetricKind, QueryCounters, ShardStats, StreamStats};

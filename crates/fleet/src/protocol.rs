@@ -474,9 +474,8 @@ pub mod wire {
         }
 
         /// The next line **without consuming it** — the probe for
-        /// optional trailing blocks (back-compat extensions like the
-        /// stream-stats sketch block), which must not eat a line that
-        /// belongs to the next concatenated response.
+        /// parsers that dispatch on the next line's key, which must not
+        /// eat a line that belongs to the next concatenated response.
         pub fn peek(&self) -> Option<&'a str> {
             self.lines.clone().next()
         }
@@ -672,7 +671,7 @@ pub mod wire {
         summary.push_wire(out);
     }
 
-    /// Parses the optional trailing sketch block of a stats record:
+    /// Parses the trailing sketch block of a stats record:
     ///
     /// ```text
     /// sketches <n>
@@ -681,22 +680,14 @@ pub mod wire {
     /// …                      (n named sketches total)
     /// ```
     ///
-    /// Absent block (`peek` shows no `sketches` header — the
-    /// pre-sketch wire form, or the record simply ends) parses as
-    /// empty summaries, so old replies stay readable. Unknown or
-    /// duplicated sketch names are errors: the block is versioned by
-    /// its names, not silently skipped.
+    /// The block is mandatory; a metric it does not name parses as an
+    /// empty summary. Unknown or duplicated sketch names are errors:
+    /// the block is versioned by its names, not silently skipped.
     pub fn parse_sketch_block(
         cur: &mut LineCursor<'_>,
     ) -> Result<(MetricSummary, MetricSummary), WireError> {
         let mut ingest_latency = MetricSummary::new();
         let mut forecast_error = MetricSummary::new();
-        let Some(probe) = cur.peek() else {
-            return Ok((ingest_latency, forecast_error));
-        };
-        if probe != "sketches" && !probe.starts_with("sketches ") {
-            return Ok((ingest_latency, forecast_error));
-        }
         let n: usize = parse_int(field(cur, "sketches")?, "sketch count")?;
         if n > MetricKind::ALL.len() {
             return Err(WireError::new(format!(
@@ -732,9 +723,8 @@ pub mod wire {
     }
 
     /// Appends per-stream stats as `key value` lines (the id is
-    /// percent-encoded with the checkpoint-filename encoding, the
-    /// latency EWMA as a hex float so the round-trip is bit-exact),
-    /// followed by the metric sketch block ([`parse_sketch_block`]).
+    /// percent-encoded with the checkpoint-filename encoding), followed
+    /// by the metric sketch block ([`parse_sketch_block`]).
     pub fn push_stream_stats(out: &mut String, stats: &StreamStats) {
         use std::fmt::Write as _;
         let _ = writeln!(out, "stream {}", encode_stream_id(&stats.stream));
@@ -742,21 +732,13 @@ pub mod wire {
         let _ = writeln!(out, "shard {}", stats.shard);
         let _ = writeln!(out, "steps {}", stats.steps);
         let _ = writeln!(out, "queue-depth {}", stats.queue_depth);
-        #[allow(deprecated)]
-        let ewma = stats.step_latency_ewma_us;
-        match ewma {
-            Some(l) => hexwire::push_f64s(out, "latency", [l]),
-            None => out.push_str("latency none\n"),
-        }
         let _ = writeln!(out, "since-checkpoint {}", stats.steps_since_checkpoint);
         out.push_str("sketches 2\n");
         push_metric_sketch(out, MetricKind::IngestLatency, &stats.ingest_latency);
         push_metric_sketch(out, MetricKind::ForecastError, &stats.forecast_error);
     }
 
-    /// Parses the block written by [`push_stream_stats`]. The sketch
-    /// block is optional on input (pre-sketch replies parse with empty
-    /// summaries).
+    /// Parses the block written by [`push_stream_stats`].
     pub fn parse_stream_stats(cur: &mut LineCursor<'_>) -> Result<StreamStats, WireError> {
         let stream = decode_stream_id(field(cur, "stream")?)
             .ok_or_else(|| WireError::new("undecodable stream id"))?;
@@ -764,29 +746,19 @@ pub mod wire {
         let shard = parse_int(field(cur, "shard")?, "shard")?;
         let steps = parse_int(field(cur, "steps")?, "steps")?;
         let queue_depth = parse_int(field(cur, "queue-depth")?, "queue depth")?;
-        let step_latency_ewma_us = match field(cur, "latency")? {
-            "none" => None,
-            hex => Some(
-                hexwire::parse_f64(hex)
-                    .ok_or_else(|| WireError::new(format!("bad latency `{hex}`")))?,
-            ),
-        };
         let steps_since_checkpoint =
             parse_int(field(cur, "since-checkpoint")?, "checkpoint counter")?;
         let (ingest_latency, forecast_error) = parse_sketch_block(cur)?;
-        #[allow(deprecated)]
-        let stats = StreamStats {
+        Ok(StreamStats {
             stream,
             model,
             shard,
             steps,
             queue_depth,
-            step_latency_ewma_us,
             steps_since_checkpoint,
             ingest_latency,
             forecast_error,
-        };
-        Ok(stats)
+        })
     }
 
     /// Appends one [`QueryResponse`] (kind header + payload). The block
@@ -1051,7 +1023,6 @@ mod tests {
         assert!(Query::Latest.validate().is_ok());
     }
 
-    #[allow(deprecated)]
     fn sample_responses() -> Vec<QueryResponse> {
         use sofia_tensor::Shape;
         let t = DenseTensor::from_vec(
@@ -1088,7 +1059,6 @@ mod tests {
                 shard: 3,
                 steps: 17,
                 queue_depth: 2,
-                step_latency_ewma_us: Some(123.456),
                 steps_since_checkpoint: 5,
                 ingest_latency: latency,
                 forecast_error: drift,
@@ -1099,7 +1069,6 @@ mod tests {
                 shard: 0,
                 steps: 0,
                 queue_depth: 0,
-                step_latency_ewma_us: None,
                 steps_since_checkpoint: 0,
                 ingest_latency: MetricSummary::new(),
                 forecast_error: MetricSummary::new(),
@@ -1114,7 +1083,6 @@ mod tests {
     /// Structural equality for the round-trip assertions (bit-exact on
     /// floats; `QueryResponse` itself has no `PartialEq` because tensors
     /// compare bit-wise only on purpose here).
-    #[allow(deprecated)]
     fn assert_same(a: &QueryResponse, b: &QueryResponse) {
         let bits = |t: &DenseTensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         match (a, b) {
@@ -1149,10 +1117,6 @@ mod tests {
                 assert_eq!(x.shard, y.shard);
                 assert_eq!(x.steps, y.steps);
                 assert_eq!(x.queue_depth, y.queue_depth);
-                assert_eq!(
-                    x.step_latency_ewma_us.map(f64::to_bits),
-                    y.step_latency_ewma_us.map(f64::to_bits)
-                );
                 assert_eq!(x.steps_since_checkpoint, y.steps_since_checkpoint);
                 // Emission compresses a digest's pending buffer, so the
                 // in-memory structs may differ; the wire form is the
@@ -1219,15 +1183,17 @@ mod tests {
             "forecast some\nshape 1\ndata 3ff0000000000000\ntrailing",
             "outlier-mask some\nshape 2\nbits 012",
             "outlier-mask some\nshape 3\nbits 01",
-            "stream-stats\nstream ok\nmodel m\nshard x\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0",
-            "stream-stats\nstream %zz\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0",
+            "stream-stats\nstream ok\nmodel m\nshard x\nsteps 1\nqueue-depth 0\nsince-checkpoint 0",
+            "stream-stats\nstream %zz\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0",
+            // A record without its (mandatory) sketch block.
+            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0",
             // Sketch block present but structurally broken: bad count,
             // unknown metric name, duplicate metric, truncated summary.
-            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0\nsketches 9",
-            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0\nsketches x",
-            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0\nsketches 1\nsketch bogus-metric\ntdigest 0\ntmeans\ntweights\ntrange 7ff8000000000000 7ff8000000000000\nmoments 0\nmstate 7ff8000000000000 7ff8000000000000 0000000000000000 0000000000000000",
-            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0\nsketches 2\nsketch ingest-latency\ntdigest 0\ntmeans\ntweights\ntrange 7ff8000000000000 7ff8000000000000\nmoments 0\nmstate 7ff8000000000000 7ff8000000000000 0000000000000000 0000000000000000\nsketch ingest-latency\ntdigest 0\ntmeans\ntweights\ntrange 7ff8000000000000 7ff8000000000000\nmoments 0\nmstate 7ff8000000000000 7ff8000000000000 0000000000000000 0000000000000000",
-            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nlatency none\nsince-checkpoint 0\nsketches 1\nsketch ingest-latency\ntdigest 0",
+            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0\nsketches 9",
+            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0\nsketches x",
+            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0\nsketches 1\nsketch bogus-metric\ntdigest 0\ntmeans\ntweights\ntrange 7ff8000000000000 7ff8000000000000\nmoments 0\nmstate 7ff8000000000000 7ff8000000000000 0000000000000000 0000000000000000",
+            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0\nsketches 2\nsketch ingest-latency\ntdigest 0\ntmeans\ntweights\ntrange 7ff8000000000000 7ff8000000000000\nmoments 0\nmstate 7ff8000000000000 7ff8000000000000 0000000000000000 0000000000000000\nsketch ingest-latency\ntdigest 0\ntmeans\ntweights\ntrange 7ff8000000000000 7ff8000000000000\nmoments 0\nmstate 7ff8000000000000 7ff8000000000000 0000000000000000 0000000000000000",
+            "stream-stats\nstream s\nmodel m\nshard 0\nsteps 1\nqueue-depth 0\nsince-checkpoint 0\nsketches 1\nsketch ingest-latency\ntdigest 0",
             // Quantile responses with a broken payload.
             "quantile",
             "quantile maybe",
@@ -1244,30 +1210,6 @@ mod tests {
                 "should reject:\n{case}"
             );
         }
-    }
-
-    /// Back-compat: a stats reply from a peer that predates sketches (no
-    /// `sketches` block at all) still parses, with empty summaries.
-    #[test]
-    #[allow(deprecated)]
-    fn sketchless_stream_stats_reply_still_parses() {
-        let legacy = "stream-stats\nstream old%20peer\nmodel SOFIA\nshard 4\nsteps 9\n\
-                      queue-depth 1\nlatency 3ff0000000000000\nsince-checkpoint 2\n";
-        let resp = QueryResponse::from_wire(legacy).expect("legacy reply parses");
-        let stats = resp.expect_stream_stats();
-        assert_eq!(stats.stream, "old peer");
-        assert_eq!(stats.shard, 4);
-        assert_eq!(stats.step_latency_ewma_us, Some(1.0));
-        assert!(stats.ingest_latency.is_empty());
-        assert!(stats.forecast_error.is_empty());
-        // Re-emission upgrades the reply to the sketch-bearing form, and
-        // that form round-trips.
-        let modern = QueryResponse::StreamStats(stats.clone()).to_wire();
-        assert!(modern.contains("sketches 2\n"), "{modern}");
-        assert_same(
-            &QueryResponse::StreamStats(stats),
-            &QueryResponse::from_wire(&modern).unwrap(),
-        );
     }
 
     mod roundtrip_property {

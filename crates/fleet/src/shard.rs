@@ -48,7 +48,7 @@ use crate::error::FleetError;
 use crate::model::ModelHandle;
 use crate::protocol::{Query, QueryResponse};
 use crate::registry::Registry;
-use crate::stats::{Ewma, MetricKind, QueryCounters, ShardStats, StreamStats};
+use crate::stats::{MetricKind, QueryCounters, ShardStats, StreamStats};
 use sofia_core::traits::StepOutput;
 use sofia_sketch::MetricSummary;
 use sofia_tensor::{DenseTensor, Mask, ObservedTensor};
@@ -128,10 +128,9 @@ pub(crate) struct QueryRequest {
 struct StreamSlot {
     model: ModelHandle,
     steps_since_checkpoint: u64,
-    latency: Ewma,
-    /// Mergeable ingest-latency summary (µs per applied slice). Like the
-    /// EWMA it is in-memory observability state, not model state: it is
-    /// not checkpointed and starts fresh on restore.
+    /// Mergeable ingest-latency summary (µs per applied slice). It is
+    /// in-memory observability state, not model state: it is not
+    /// checkpointed and starts fresh on restore.
     ingest_latency: MetricSummary,
     /// Mergeable one-step-ahead forecast-error summary: the relative
     /// residual of the model's own pre-step forecast against the slice
@@ -148,7 +147,6 @@ impl StreamSlot {
         StreamSlot {
             model,
             steps_since_checkpoint: 0,
-            latency: Ewma::default(),
             ingest_latency: MetricSummary::new(),
             forecast_error: MetricSummary::new(),
             last: None,
@@ -213,7 +211,6 @@ pub(crate) struct ShardWorker {
     /// Streams checkpointed and unloaded by the eviction sweep; still
     /// registered, restored lazily on the next ingest/query.
     evicted: HashSet<Arc<str>>,
-    latency: Ewma,
     /// Shard-level mergeable summaries, observed directly by this worker
     /// (not folded from slots, so they also cover streams that were
     /// since evicted or quarantined). These are the canonical per-shard
@@ -227,6 +224,8 @@ pub(crate) struct ShardWorker {
     dropped: u64,
     evictions: u64,
     restores: u64,
+    checkpoint_failures: u64,
+    quarantines: u64,
     /// Per-kind counts of queries answered (failures included).
     queries: QueryCounters,
     /// Query-queue drains that answered at least one query (a
@@ -340,14 +339,12 @@ impl ShardWorker {
                 })
             })),
             Query::StreamStats => {
-                #[allow(deprecated)]
                 let stats = StreamStats {
                     stream: stream.to_string(),
                     model: slot.model.name().to_string(),
                     shard: self.shard,
                     steps: slot.model.model_steps(),
                     queue_depth: self.depth.load(Ordering::Acquire),
-                    step_latency_ewma_us: slot.latency.value(),
                     steps_since_checkpoint: slot.steps_since_checkpoint,
                     ingest_latency: slot.ingest_latency.clone(),
                     forecast_error: slot.forecast_error.clone(),
@@ -439,6 +436,7 @@ impl ShardWorker {
                         "sofia-fleet: evicting stream `{id}` failed to checkpoint: {e}; \
                          stream stays resident"
                     );
+                    self.checkpoint_failures += 1;
                     // Natural backoff: treat the failed attempt as
                     // activity so the stream is not re-selected until
                     // another idle interval elapses.
@@ -512,11 +510,10 @@ impl ShardWorker {
                         // Free the id so a fresh model can be registered
                         // in its place.
                         self.registry.remove(&stream);
+                        self.quarantines += 1;
                     }
                     Ok(out) => {
                         let us = start.elapsed().as_secs_f64() * 1e6;
-                        slot.latency.observe(us);
-                        self.latency.observe(us);
                         slot.ingest_latency.observe(us);
                         self.ingest_latency.observe(us);
                         if let Some(residual) = prediction
@@ -531,14 +528,25 @@ impl ShardWorker {
                         slot.last_active = self.steps;
                         slot.last = Some(out);
                         if let Some(policy) = &self.policy {
-                            if slot.steps_since_checkpoint >= policy.every_steps {
-                                let dir = policy.dir.clone();
-                                // Periodic checkpoints are best-effort
-                                // (I/O trouble must not take the shard
-                                // down); an explicit Checkpoint command
-                                // reports errors.
-                                if Self::checkpoint_slot(&dir, &stream, slot).is_ok() {
-                                    slot.steps_since_checkpoint = 0;
+                            // Periodic checkpoints are best-effort (I/O
+                            // trouble must not take the shard down; an
+                            // explicit Checkpoint command reports errors)
+                            // but counted. They fall due at each interval
+                            // boundary since the last durable one, so a
+                            // failed write is retried one interval later,
+                            // not on every ingest. The interval is a
+                            // public field: 0 means 1.
+                            let every = policy.every_steps.max(1);
+                            if slot.steps_since_checkpoint.is_multiple_of(every) {
+                                match Self::checkpoint_slot(&policy.dir, &stream, slot) {
+                                    Ok(_) => slot.steps_since_checkpoint = 0,
+                                    Err(e) => {
+                                        eprintln!(
+                                            "sofia-fleet: periodic checkpoint of stream \
+                                             `{stream}` failed: {e}; retrying in {every} steps"
+                                        );
+                                        self.checkpoint_failures += 1;
+                                    }
                                 }
                             }
                         }
@@ -562,7 +570,6 @@ impl ShardWorker {
             // worker.
             Command::PumpQueries => false,
             Command::ShardStats { reply } => {
-                #[allow(deprecated)]
                 let stats = ShardStats {
                     shard: self.shard,
                     streams: self.slots.len(),
@@ -574,10 +581,11 @@ impl ShardWorker {
                     dropped: self.dropped,
                     evictions: self.evictions,
                     restores: self.restores,
+                    checkpoint_failures: self.checkpoint_failures,
+                    quarantines: self.quarantines,
                     queries: self.queries,
                     query_batches: self.query_batches,
                     query_queue_depth: self.query_depth.load(Ordering::Acquire),
-                    step_latency_ewma_us: self.latency.value(),
                     ingest_latency: self.ingest_latency.clone(),
                     forecast_error: self.forecast_error.clone(),
                     endpoint: None,
@@ -766,7 +774,6 @@ impl ShardHandle {
             registry,
             slots: HashMap::new(),
             evicted: HashSet::new(),
-            latency: Ewma::default(),
             ingest_latency: MetricSummary::new(),
             forecast_error: MetricSummary::new(),
             steps: 0,
@@ -775,6 +782,8 @@ impl ShardHandle {
             dropped: 0,
             evictions: 0,
             restores: 0,
+            checkpoint_failures: 0,
+            quarantines: 0,
             queries: QueryCounters::default(),
             query_batches: 0,
             next_evict_check: 0,

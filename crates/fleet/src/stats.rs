@@ -1,10 +1,10 @@
 //! Per-stream and fleet-wide serving statistics.
 //!
 //! Latency and forecast-error observations land in mergeable
-//! [`MetricSummary`] sketches (see `sofia-sketch`): unlike the legacy
-//! EWMAs, sketches from different shards — or different processes —
-//! merge into exactly the summary a single observer would have built,
-//! so p99/p99.9 questions have one answer at every aggregation level.
+//! [`MetricSummary`] sketches (see `sofia-sketch`): sketches from
+//! different shards — or different processes — merge into exactly the
+//! summary a single observer would have built, so p99/p99.9 questions
+//! have one answer at every aggregation level.
 //! The sketches live in memory only: they cover the current process
 //! lifetime and reset on evict/restore and restart.
 
@@ -47,44 +47,6 @@ impl MetricKind {
 impl std::fmt::Display for MetricKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Exponentially weighted moving average of step latency.
-///
-/// `ewma ← α·x + (1−α)·ewma`; the first observation seeds the average so
-/// early readings are not biased toward zero.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// A new average with smoothing factor `alpha ∈ (0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Folds in one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// Current average, if any observation has been made.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-impl Default for Ewma {
-    /// The fleet's default smoothing (`α = 0.1`, ≈ last ~20 steps).
-    fn default() -> Self {
-        Ewma::new(0.1)
     }
 }
 
@@ -168,14 +130,6 @@ pub struct StreamStats {
     /// Slices currently queued on the owning shard (shard-wide: the queue
     /// is per shard, not per stream).
     pub queue_depth: usize,
-    /// EWMA of per-step latency in microseconds, `None` before the first
-    /// step. Still populated for existing dashboards, but step-weighted
-    /// EWMA averages cannot merge exactly across shards or nodes.
-    #[deprecated(
-        note = "read `ingest_latency` instead: its p50/p99/p999 quantiles and \
-                exact moments merge losslessly across shards and nodes"
-    )]
-    pub step_latency_ewma_us: Option<f64>,
     /// Steps applied since the last durable checkpoint (0 right after one;
     /// `u64::MAX` sentinel is never used — non-checkpointable models just
     /// keep counting).
@@ -217,6 +171,14 @@ pub struct ShardStats {
     pub evictions: u64,
     /// Evicted streams brought back by a later ingest/query.
     pub restores: u64,
+    /// Periodic and eviction checkpoint writes that failed (explicit
+    /// checkpoints report their error to the caller instead). A failed
+    /// periodic write is retried one checkpoint interval later; nonzero
+    /// means the checkpoint directory is unhealthy and durability lags.
+    pub checkpoint_failures: u64,
+    /// Streams quarantined because their model panicked on a step (the
+    /// stream is dropped and its id freed; the shard keeps serving).
+    pub quarantines: u64,
     /// Per-kind counts of queries answered since the shard started.
     pub queries: QueryCounters,
     /// Query-queue drains that answered at least one query. One
@@ -227,13 +189,6 @@ pub struct ShardStats {
     /// a persistently high gauge means queries arrive faster than the
     /// worker drains them between ingest batches.
     pub query_queue_depth: usize,
-    /// EWMA of per-step latency in microseconds across the shard's
-    /// streams. Still populated, but see the deprecation note.
-    #[deprecated(
-        note = "read `ingest_latency` instead: its p50/p99/p999 quantiles and \
-                exact moments merge losslessly across shards and nodes"
-    )]
-    pub step_latency_ewma_us: Option<f64>,
     /// Mergeable shard-level summary of per-step ingest latency (µs),
     /// fed by the same observations as every resident stream's own
     /// summary. This is the canonical per-shard partial: fleet- and
@@ -279,6 +234,16 @@ impl FleetStats {
     /// Total lazy restores since start across shards.
     pub fn restores(&self) -> u64 {
         self.shards.iter().map(|s| s.restores).sum()
+    }
+
+    /// Total failed periodic and eviction checkpoints across shards.
+    pub fn checkpoint_failures(&self) -> u64 {
+        self.shards.iter().map(|s| s.checkpoint_failures).sum()
+    }
+
+    /// Total streams quarantined after a model panic across shards.
+    pub fn quarantines(&self) -> u64 {
+        self.shards.iter().map(|s| s.quarantines).sum()
     }
 
     /// Total steps across shards.
@@ -335,71 +300,18 @@ impl FleetStats {
         }
         acc
     }
-
-    /// Step-weighted mean of the shard latency EWMAs, in microseconds.
-    #[deprecated(note = "read `ingest_latency()` instead: `.mean()` is the exact mean \
-                and `.quantile(q)` answers the tail questions an EWMA cannot")]
-    pub fn mean_step_latency_us(&self) -> Option<f64> {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for s in &self.shards {
-            #[allow(deprecated)]
-            if let Some(l) = s.step_latency_ewma_us {
-                num += l * s.steps as f64;
-                den += s.steps as f64;
-            }
-        }
-        (den > 0.0).then(|| num / den)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ewma_seeds_with_first_observation() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.value(), None);
-        e.observe(10.0);
-        assert_eq!(e.value(), Some(10.0));
-    }
-
-    #[test]
-    fn ewma_tracks_smoothly() {
-        let mut e = Ewma::new(0.5);
-        e.observe(10.0);
-        e.observe(20.0);
-        assert_eq!(e.value(), Some(15.0));
-        e.observe(15.0);
-        assert_eq!(e.value(), Some(15.0));
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::new(0.2);
-        for _ in 0..200 {
-            e.observe(42.0);
-        }
-        assert!((e.value().unwrap() - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
-    }
-
     /// A shard snapshot with the given counters and a latency summary
-    /// built from `latencies` (both sketch and EWMA halves populated,
-    /// like the worker does).
-    #[allow(deprecated)]
+    /// built from `latencies`.
     fn shard_stats(shard: usize, latencies: &[f64]) -> ShardStats {
         let mut ingest_latency = MetricSummary::new();
-        let mut ewma = Ewma::default();
         for &l in latencies {
             ingest_latency.observe(l);
-            ewma.observe(l);
         }
         ShardStats {
             shard,
@@ -412,10 +324,11 @@ mod tests {
             dropped: 0,
             evictions: 0,
             restores: 0,
+            checkpoint_failures: 0,
+            quarantines: 0,
             queries: QueryCounters::default(),
             query_batches: 0,
             query_queue_depth: 0,
-            step_latency_ewma_us: ewma.value(),
             ingest_latency,
             forecast_error: MetricSummary::new(),
             endpoint: None,
@@ -423,7 +336,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fleet_stats_aggregates() {
         let mut a = shard_stats(0, &[100.0; 30]);
         a.streams = 2;
@@ -433,6 +345,7 @@ mod tests {
         a.max_batch = 4;
         a.evictions = 3;
         a.restores = 2;
+        a.checkpoint_failures = 4;
         a.queries = QueryCounters {
             latest: 4,
             forecast: 2,
@@ -447,6 +360,8 @@ mod tests {
         b.batches = 5;
         b.max_batch = 2;
         b.dropped = 1;
+        b.checkpoint_failures = 1;
+        b.quarantines = 1;
         b.queries = QueryCounters {
             latest: 1,
             forecast: 0,
@@ -463,6 +378,8 @@ mod tests {
         assert_eq!(stats.dropped(), 1);
         assert_eq!(stats.evictions(), 3);
         assert_eq!(stats.restores(), 2);
+        assert_eq!(stats.checkpoint_failures(), 5);
+        assert_eq!(stats.quarantines(), 1);
         assert_eq!(
             stats.queries(),
             QueryCounters {
@@ -476,8 +393,6 @@ mod tests {
         assert_eq!(stats.queries().total(), 13);
         assert_eq!(stats.query_batches(), 5);
         assert_eq!(stats.query_queue_depth(), 2);
-        let mean = stats.mean_step_latency_us().unwrap();
-        assert!((mean - 125.0).abs() < 1e-9, "step-weighted mean {mean}");
     }
 
     #[test]
@@ -534,10 +449,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fleet_stats_latency_none_when_no_steps() {
         let stats = FleetStats { shards: vec![] };
-        assert_eq!(stats.mean_step_latency_us(), None);
         assert!(stats.ingest_latency().is_empty());
     }
 }

@@ -229,9 +229,6 @@ fn graceful_shutdown_loses_nothing() {
 
     let fleet = Fleet::new(fleet_config()).expect("fleet");
     let (startup, streamed) = slices(0);
-    // (The deprecated `register_sofia` alias is covered by the engine's
-    // dedicated legacy-wrapper test; durability scenarios register
-    // through the uniform handle constructors.)
     let key = fleet
         .register("solo", ModelHandle::sofia(init_model(0, &startup)))
         .expect("register");

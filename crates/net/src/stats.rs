@@ -169,10 +169,10 @@ pub fn push_net_stats(out: &mut String, stats: &NetStats) {
 }
 
 /// Parses the block written by [`push_net_stats`], consuming the rest
-/// of the cursor. Tolerant like the PR 6 sketch block: unknown counter
-/// lines are skipped, absent counters default to zero, and the
-/// settle-latency / slow blocks may be absent entirely (empty summary,
-/// empty ring) — only the versioned header is mandatory. Total:
+/// of the cursor. Tolerant: unknown counter lines are skipped, absent
+/// counters default to zero, and the settle-latency / slow blocks may
+/// be absent entirely (empty summary, empty ring) — only the versioned
+/// header is mandatory. Total:
 /// malformed headers, counters, metric lines, or slow records are typed
 /// errors, never panics.
 pub fn parse_net_stats(cur: &mut LineCursor<'_>) -> Result<NetStats, WireError> {

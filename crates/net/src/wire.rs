@@ -55,7 +55,6 @@
 //! ([`FrameError`], [`WireError`]) — never a panic — because these
 //! functions feed on bytes from the network.
 
-use sofia_core::snapshot::wire as hexwire;
 use sofia_fleet::protocol::wire::{self, LineCursor, WireError};
 use sofia_fleet::{shard_of, FleetError, FleetStats, MetricKind, Query, QueryCounters, ShardStats};
 use sofia_tensor::ObservedTensor;
@@ -1079,7 +1078,7 @@ impl ShardMap {
 }
 
 /// Appends fleet-wide statistics: `shards <n>`, then per shard the
-/// `shard`/`queries`/`latency` lines followed by the mergeable sketch
+/// `shard`/`queries` lines followed by the mergeable sketch
 /// block (`sketches 2` + one [`wire::push_metric_sketch`] block per
 /// metric). The sketch lines carry the shard's canonical summary
 /// partials, so a cluster client can merge them without loss; the
@@ -1091,7 +1090,7 @@ pub fn push_fleet_stats(out: &mut String, stats: &FleetStats) {
     for s in &stats.shards {
         let _ = writeln!(
             out,
-            "shard {} {} {} {} {} {} {} {} {} {} {} {}",
+            "shard {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
             s.shard,
             s.streams,
             s.evicted,
@@ -1103,7 +1102,9 @@ pub fn push_fleet_stats(out: &mut String, stats: &FleetStats) {
             s.evictions,
             s.restores,
             s.query_batches,
-            s.query_queue_depth
+            s.query_queue_depth,
+            s.checkpoint_failures,
+            s.quarantines
         );
         let _ = writeln!(
             out,
@@ -1114,12 +1115,6 @@ pub fn push_fleet_stats(out: &mut String, stats: &FleetStats) {
             s.queries.stream_stats,
             s.queries.quantile
         );
-        #[allow(deprecated)]
-        let ewma = s.step_latency_ewma_us;
-        match ewma {
-            Some(l) => hexwire::push_f64s(out, "latency", [l]),
-            None => out.push_str("latency none\n"),
-        }
         out.push_str("sketches 2\n");
         wire::push_metric_sketch(out, MetricKind::IngestLatency, &s.ingest_latency);
         wire::push_metric_sketch(out, MetricKind::ForecastError, &s.forecast_error);
@@ -1142,9 +1137,9 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
             .ok_or_else(|| WireError::new(format!("bad shard line `{line}`")))?
             .split_whitespace()
             .collect();
-        if nums.len() != 12 {
+        if nums.len() != 14 {
             return Err(WireError::new(format!(
-                "shard line carries {} fields, expected 12",
+                "shard line carries {} fields, expected 14",
                 nums.len()
             )));
         }
@@ -1159,31 +1154,16 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
             .ok_or_else(|| WireError::new(format!("bad queries line `{qline}`")))?
             .split_whitespace()
             .collect();
-        // 4 counters from a peer that predates the quantile query kind,
-        // 5 from a current one.
-        if qnums.len() != 4 && qnums.len() != 5 {
-            return Err(WireError::new("queries line needs 4 or 5 counters"));
+        if qnums.len() != 5 {
+            return Err(WireError::new("queries line needs 5 counters"));
         }
         let qint = |i: usize| -> Result<u64, WireError> {
             qnums[i]
                 .parse()
                 .map_err(|_| WireError::new(format!("bad query counter `{}`", qnums[i])))
         };
-        let lline = cur.next("shard latency")?;
-        let step_latency_ewma_us = match lline
-            .strip_prefix("latency ")
-            .ok_or_else(|| WireError::new(format!("bad latency line `{lline}`")))?
-        {
-            "none" => None,
-            hex => Some(
-                hexwire::parse_f64(hex)
-                    .ok_or_else(|| WireError::new(format!("bad latency `{hex}`")))?,
-            ),
-        };
-        // Absent on replies from a pre-sketch peer: empty summaries.
         let (ingest_latency, forecast_error) = wire::parse_sketch_block(cur)?;
-        #[allow(deprecated)]
-        let stats = ShardStats {
+        shards.push(ShardStats {
             shard: int(0)? as usize,
             streams: int(1)? as usize,
             evicted: int(2)? as usize,
@@ -1194,21 +1174,21 @@ pub fn parse_fleet_stats(cur: &mut LineCursor<'_>) -> Result<FleetStats, WireErr
             dropped: int(7)?,
             evictions: int(8)?,
             restores: int(9)?,
+            checkpoint_failures: int(12)?,
+            quarantines: int(13)?,
             queries: QueryCounters {
                 latest: qint(0)?,
                 forecast: qint(1)?,
                 outlier_mask: qint(2)?,
                 stream_stats: qint(3)?,
-                quantile: if qnums.len() == 5 { qint(4)? } else { 0 },
+                quantile: qint(4)?,
             },
             query_batches: int(10)?,
             query_queue_depth: int(11)? as usize,
-            step_latency_ewma_us,
             ingest_latency,
             forecast_error,
             endpoint: None,
-        };
-        shards.push(stats);
+        });
     }
     Ok(FleetStats { shards })
 }
@@ -1708,7 +1688,6 @@ mod tests {
         }
     }
 
-    #[allow(deprecated)]
     fn sample_shard_stats() -> FleetStats {
         use sofia_sketch::MetricSummary;
         let mut latency = MetricSummary::new();
@@ -1730,6 +1709,8 @@ mod tests {
                     dropped: 1,
                     evictions: 2,
                     restores: 1,
+                    checkpoint_failures: 3,
+                    quarantines: 2,
                     queries: QueryCounters {
                         latest: 5,
                         forecast: 6,
@@ -1739,7 +1720,6 @@ mod tests {
                     },
                     query_batches: 11,
                     query_queue_depth: 1,
-                    step_latency_ewma_us: Some(321.125),
                     ingest_latency: latency,
                     forecast_error: drift,
                     endpoint: None,
@@ -1755,10 +1735,11 @@ mod tests {
                     dropped: 0,
                     evictions: 0,
                     restores: 0,
+                    checkpoint_failures: 0,
+                    quarantines: 0,
                     queries: QueryCounters::default(),
                     query_batches: 0,
                     query_queue_depth: 0,
-                    step_latency_ewma_us: None,
                     ingest_latency: sofia_sketch::MetricSummary::new(),
                     forecast_error: sofia_sketch::MetricSummary::new(),
                     endpoint: None,
@@ -1768,7 +1749,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fleet_stats_round_trip() {
         let stats = sample_shard_stats();
         let mut out = String::new();
@@ -1780,11 +1760,8 @@ mod tests {
         assert_eq!(back.steps(), 100);
         assert_eq!(back.queries().total(), 35);
         assert_eq!(back.queries().quantile, 9);
-        assert_eq!(
-            back.shards[0].step_latency_ewma_us.map(f64::to_bits),
-            Some(321.125f64.to_bits())
-        );
-        assert_eq!(back.shards[1].step_latency_ewma_us, None);
+        assert_eq!(back.checkpoint_failures(), 3);
+        assert_eq!(back.quarantines(), 2);
         // The sketch block is on the wire and the parsed summaries emit
         // byte-identical wire forms (the moment partials are bit-exact).
         assert_eq!(
@@ -1801,28 +1778,46 @@ mod tests {
         assert!(back.shards[1].ingest_latency.is_empty());
     }
 
-    /// A stats reply from a peer that predates sketches — 4 query
-    /// counters, no `sketches` block — still parses, with a zero
-    /// quantile counter and empty summaries.
+    /// The stats parser is strict: every malformed reply is a typed
+    /// error — never a panic, never a silently defaulted field.
     #[test]
-    #[allow(deprecated)]
-    fn fleet_stats_parse_accepts_the_pre_sketch_reply_form() {
-        let legacy = "shards 2\n\
-                      shard 0 3 1 100 2 40 9 1 2 1 11 1\n\
-                      queries 5 6 7 8\n\
-                      latency 4074120000000000\n\
-                      shard 1 0 0 0 0 0 0 0 0 0 0 0\n\
-                      queries 0 0 0 0\n\
-                      latency none\n";
-        let mut cur = LineCursor::new(legacy);
-        let back = parse_fleet_stats(&mut cur).unwrap();
-        cur.finish().unwrap();
-        assert_eq!(back.shards.len(), 2);
-        assert_eq!(back.steps(), 100);
-        assert_eq!(back.queries().quantile, 0);
-        assert_eq!(back.queries().total(), 26);
-        assert_eq!(back.shards[0].step_latency_ewma_us, Some(321.125));
-        assert!(back.shards[0].ingest_latency.is_empty());
-        assert!(back.shards[0].forecast_error.is_empty());
+    fn fleet_stats_parse_rejects_malformed_replies() {
+        let mut stats = sample_shard_stats();
+        stats.shards.truncate(1);
+        let mut good = String::new();
+        push_fleet_stats(&mut good, &stats);
+        parse_fleet_stats(&mut LineCursor::new(&good)).expect("the unmutated reply parses");
+        let shard_line = good.lines().nth(1).expect("shard line");
+        let sketches = &good[good.find("sketches 2\n").expect("sketch block")..];
+        let cases = [
+            (
+                "short shard line",
+                good.replacen(shard_line, &shard_line[..shard_line.rfind(' ').unwrap()], 1),
+            ),
+            (
+                "long shard line",
+                good.replacen(shard_line, &format!("{shard_line} 7"), 1),
+            ),
+            (
+                "non-numeric field",
+                good.replacen("shard 0 3 ", "shard 0 x ", 1),
+            ),
+            (
+                "4-counter queries line",
+                good.replacen("queries 5 6 7 8 9\n", "queries 5 6 7 8\n", 1),
+            ),
+            ("missing sketch block", good.replacen(sketches, "", 1)),
+            (
+                "truncated sketch",
+                good[..good.rfind("mstate").expect("last sketch line")].to_string(),
+            ),
+        ];
+        for (what, text) in cases {
+            assert_ne!(text, good, "{what}: the mutation must apply");
+            assert!(
+                parse_fleet_stats(&mut LineCursor::new(&text)).is_err(),
+                "{what} should be rejected:\n{text}"
+            );
+        }
     }
 }
